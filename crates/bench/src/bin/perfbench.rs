@@ -16,6 +16,7 @@
 //! within 5% of the baseline.
 
 use bench::perf;
+use cool_obs::metrics::extract_number;
 
 const SCHEMA: &str = "cool-bench-v1";
 /// Allowed wall-clock regression versus the committed baseline.
@@ -154,19 +155,6 @@ fn render_json(
     s
 }
 
-/// Pull the first `"key": <number>` after position `from`. The emitted JSON
-/// is flat and key order is fixed, so a scanning extractor is sufficient —
-/// no JSON dependency needed offline.
-fn extract_number(json: &str, key: &str, from: usize) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json[from..].find(&needle)? + from + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Validate a BENCH json document's schema: required keys present and the
 /// `total` block parseable. Returns the total block's (refs, sim_cycles,
 /// wall_ms).
@@ -188,11 +176,11 @@ fn validate(json: &str, what: &str) -> (f64, f64, f64) {
         "{what}: schema is not {SCHEMA}"
     );
     let total_at = json.find("\"total\"").expect("total key just checked");
-    let refs = extract_number(json, "refs", total_at)
+    let (refs, _) = extract_number(json, "refs", total_at)
         .unwrap_or_else(|| panic!("{what}: total.refs unparseable"));
-    let cycles = extract_number(json, "sim_cycles", total_at)
+    let (cycles, _) = extract_number(json, "sim_cycles", total_at)
         .unwrap_or_else(|| panic!("{what}: total.sim_cycles unparseable"));
-    let wall = extract_number(json, "wall_ms", total_at)
+    let (wall, _) = extract_number(json, "wall_ms", total_at)
         .unwrap_or_else(|| panic!("{what}: total.wall_ms unparseable"));
     assert!(wall > 0.0, "{what}: total.wall_ms must be positive");
     (refs, cycles, wall)
@@ -220,9 +208,9 @@ fn calibrated_ratio(json: &str, what: &str) -> f64 {
     let at = json
         .find("\"machine_micro\"")
         .unwrap_or_else(|| panic!("{what}: missing machine_micro block"));
-    let rps = extract_number(json, "refs_per_sec", at)
+    let (rps, _) = extract_number(json, "refs_per_sec", at)
         .unwrap_or_else(|| panic!("{what}: machine_micro.refs_per_sec unparseable"));
-    let calib = extract_number(json, "calibration_ops_per_sec", 0)
+    let (calib, _) = extract_number(json, "calibration_ops_per_sec", 0)
         .unwrap_or_else(|| panic!("{what}: calibration_ops_per_sec unparseable"));
     assert!(calib > 0.0, "{what}: calibration must be positive");
     rps / calib

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+mod flat;
 pub mod perf;
 pub mod repro;
 pub mod serve;

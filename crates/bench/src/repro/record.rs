@@ -11,6 +11,8 @@
 
 use apps::{AppReport, Version};
 
+use crate::flat::FlatObject;
+
 /// Schema tag stamped into every record and document.
 pub const REPRO_SCHEMA: &str = "cool-repro-v1";
 
@@ -198,82 +200,35 @@ impl ReproRecord {
     /// Parse one record object (the exact shape [`ReproRecord::to_json`]
     /// writes). Returns a description of the first problem found.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(text)?;
-        let get = |k: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let get_str = |k: &str| -> Result<String, String> {
-            let v = get(k)?;
-            let v = v
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("field {k:?} is not a string: {v}"))?;
-            Ok(v.to_string())
-        };
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            get(k)?
-                .parse::<u64>()
-                .map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let get_f64 = |k: &str| -> Result<f64, String> {
-            get(k)?
-                .parse::<f64>()
-                .map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let schema = get_str("schema")?;
+        let f = FlatObject::parse(text)?;
+        let schema = f.str("schema")?;
         if schema != REPRO_SCHEMA {
             return Err(format!("schema {schema:?}, expected {REPRO_SCHEMA:?}"));
         }
         Ok(ReproRecord {
-            app: get_str("app")?,
-            series: get_str("series")?,
-            nprocs: get_u64("nprocs")? as usize,
-            scale: get_str("scale")?,
-            config: get_str("config")?,
-            hash: get_str("hash")?,
-            speedup: get_f64("speedup")?,
-            elapsed: get_u64("elapsed")?,
-            busy: get_u64("busy")?,
-            idle: get_u64("idle")?,
-            overhead: get_u64("overhead")?,
-            refs: get_u64("refs")?,
-            l1_hits: get_u64("l1_hits")?,
-            l2_hits: get_u64("l2_hits")?,
-            local_misses: get_u64("local_misses")?,
-            remote_misses: get_u64("remote_misses")?,
-            invalidations: get_u64("invalidations")?,
-            wait_cycles: get_u64("wait_cycles")?,
-            peak_occ: get_u64("peak_occ")?,
-            adherence: get_f64("adherence")?,
-            max_error: get_f64("max_error")?,
+            app: f.str("app")?,
+            series: f.str("series")?,
+            nprocs: f.get("nprocs")?,
+            scale: f.str("scale")?,
+            config: f.str("config")?,
+            hash: f.str("hash")?,
+            speedup: f.get("speedup")?,
+            elapsed: f.get("elapsed")?,
+            busy: f.get("busy")?,
+            idle: f.get("idle")?,
+            overhead: f.get("overhead")?,
+            refs: f.get("refs")?,
+            l1_hits: f.get("l1_hits")?,
+            l2_hits: f.get("l2_hits")?,
+            local_misses: f.get("local_misses")?,
+            remote_misses: f.get("remote_misses")?,
+            invalidations: f.get("invalidations")?,
+            wait_cycles: f.get("wait_cycles")?,
+            peak_occ: f.get("peak_occ")?,
+            adherence: f.get("adherence")?,
+            max_error: f.get("max_error")?,
         })
     }
-}
-
-/// Split a flat (no nested objects/arrays) JSON object into raw
-/// `(key, value)` pairs, one per line as the writers emit them.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "{" || line == "}" {
-            continue;
-        }
-        let Some((k, v)) = line.split_once(':') else {
-            return Err(format!("unparseable line {line:?}"));
-        };
-        let k = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("bad key in line {line:?}"))?;
-        out.push((k.to_string(), v.trim().to_string()));
-    }
-    Ok(out)
 }
 
 /// Serialise a whole sweep as a `cool-repro-v1` matrix document: a header

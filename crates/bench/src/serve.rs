@@ -29,6 +29,8 @@ use cool_core::obs::ObsTrace;
 use cool_core::FaultPlan;
 use cool_rt::serve::{Outcome, Request, ServeConfig, SubmitError, WorkServer};
 
+use crate::flat::FlatObject;
+
 /// Schema tag stamped into every report.
 pub const SERVE_SCHEMA: &str = "cool-serve-v1";
 
@@ -335,80 +337,42 @@ impl ServeReport {
     /// Parse the exact shape [`ServeReport::to_json`] writes. Returns the
     /// first problem found.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut fields: Vec<(String, String)> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.is_empty() || line == "{" || line == "}" {
-                continue;
-            }
-            let Some((k, v)) = line.split_once(':') else {
-                return Err(format!("unparseable line {line:?}"));
-            };
-            let k = k
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| format!("bad key in line {line:?}"))?;
-            fields.push((k.to_string(), v.trim().to_string()));
-        }
-        let get = |k: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let get_str = |k: &str| -> Result<String, String> {
-            let v = get(k)?;
-            v.strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .map(str::to_string)
-                .ok_or_else(|| format!("field {k:?} is not a string: {v}"))
-        };
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            get(k)?.parse::<u64>().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let get_f64 = |k: &str| -> Result<f64, String> {
-            get(k)?.parse::<f64>().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let get_bool = |k: &str| -> Result<bool, String> {
-            get(k)?.parse::<bool>().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let schema = get_str("schema")?;
+        let f = FlatObject::parse(text)?;
+        let schema = f.str("schema")?;
         if schema != SERVE_SCHEMA {
             return Err(format!("schema {schema:?}, expected {SERVE_SCHEMA:?}"));
         }
         Ok(ServeReport {
-            app: get_str("app")?,
-            scale: get_str("scale")?,
-            seed: get_u64("seed")?,
-            requests: get_u64("requests")?,
-            domains: get_u64("domains")?,
-            workers_per_domain: get_u64("workers_per_domain")?,
-            queue_capacity: get_u64("queue_capacity")?,
-            max_attempts: get_u64("max_attempts")?,
-            mean_interarrival_us: get_u64("mean_interarrival_us")?,
-            chaos: get_bool("chaos")?,
-            submitted: get_u64("submitted")?,
-            admitted: get_u64("admitted")?,
-            shed: get_u64("shed")?,
-            completed: get_u64("completed")?,
-            failed: get_u64("failed")?,
-            timed_out: get_u64("timed_out")?,
-            lost: get_u64("lost")?,
-            double_executed: get_u64("double_executed")?,
-            retries: get_u64("retries")?,
-            injected_failures: get_u64("injected_failures")?,
-            intake_stalls: get_u64("intake_stalls")?,
-            pool_restarts: get_u64("pool_restarts")?,
-            p50_us: get_u64("p50_us")?,
-            p99_us: get_u64("p99_us")?,
-            p999_us: get_u64("p999_us")?,
-            max_us: get_u64("max_us")?,
-            offered_rps: get_f64("offered_rps")?,
-            goodput_rps: get_f64("goodput_rps")?,
-            wall_ms: get_u64("wall_ms")?,
-            conservation: get_str("conservation")?,
+            app: f.str("app")?,
+            scale: f.str("scale")?,
+            seed: f.get("seed")?,
+            requests: f.get("requests")?,
+            domains: f.get("domains")?,
+            workers_per_domain: f.get("workers_per_domain")?,
+            queue_capacity: f.get("queue_capacity")?,
+            max_attempts: f.get("max_attempts")?,
+            mean_interarrival_us: f.get("mean_interarrival_us")?,
+            chaos: f.get("chaos")?,
+            submitted: f.get("submitted")?,
+            admitted: f.get("admitted")?,
+            shed: f.get("shed")?,
+            completed: f.get("completed")?,
+            failed: f.get("failed")?,
+            timed_out: f.get("timed_out")?,
+            lost: f.get("lost")?,
+            double_executed: f.get("double_executed")?,
+            retries: f.get("retries")?,
+            injected_failures: f.get("injected_failures")?,
+            intake_stalls: f.get("intake_stalls")?,
+            pool_restarts: f.get("pool_restarts")?,
+            p50_us: f.get("p50_us")?,
+            p99_us: f.get("p99_us")?,
+            p999_us: f.get("p999_us")?,
+            max_us: f.get("max_us")?,
+            offered_rps: f.get("offered_rps")?,
+            goodput_rps: f.get("goodput_rps")?,
+            wall_ms: f.get("wall_ms")?,
+            conservation: f.str("conservation")?,
         })
     }
 

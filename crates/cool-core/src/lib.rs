@@ -17,7 +17,7 @@
 //!   back-to-back service of task-affinity sets.
 //! * [`policy`] — work-stealing policy knobs from Sections 4.2 and 6.3:
 //!   stealing whole task-affinity sets, avoiding object-affinity tasks, and
-//!   cluster-first stealing.
+//!   cluster-first stealing, plus the one steal scan both runtimes run.
 //! * [`feedback`] — the closed-loop layer over those knobs: the
 //!   [`AdaptiveConfig`]/[`RebalanceConfig`] knob sets and the deterministic
 //!   [`PolicyFeedback`] aggregator that turns observed steal failures,
@@ -68,7 +68,7 @@ pub use faults::FaultPlan;
 pub use feedback::{AdaptiveConfig, PolicyFeedback, RebalanceConfig};
 pub use ids::{ClusterId, NodeId, ObjRef, ProcId};
 pub use obs::{MemDelta, ObsEvent, ObsRecorder, ObsTrace};
-pub use policy::{StealPolicy, Topology, VictimOrders, MAX_TOPO_LEVELS};
+pub use policy::{ScanOutcome, Steal, StealPolicy, Topology, VictimOrders, MAX_TOPO_LEVELS};
 pub use queues::{Popped, ServerQueues, SlotClass, SlotUpdate, StolenBatch};
 pub use stats::SchedStats;
 pub use vsched::{PushSpec, QueueDefect, QueueMachine, QueueOp, VirtualProgram};

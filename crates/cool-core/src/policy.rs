@@ -19,8 +19,17 @@
 //! the steal domain one level per failed scan, in the spirit of the
 //! bubble-scheduler line of work (Thibault et al.). A 2-level machine remains
 //! a special case with byte-identical scan orders.
+//!
+//! [`StealPolicy::scan`] is the one steal scan: both runtimes call it with a
+//! closure that robs one victim queue, and keep only their own mechanism
+//! (locks or virtual clocks, steal costs, trace events).
 
+use crate::affinity::AffinityKind;
+use crate::feedback::PolicyFeedback;
 use crate::ids::{ClusterId, ProcId};
+use crate::obs::ObsEvent;
+use crate::queues::StolenBatch;
+use crate::stats::SchedStats;
 
 /// Maximum explicit levels in a machine tree (the implicit machine root sits
 /// above the outermost one). Four levels model e.g. SMT pair → core cluster →
@@ -223,25 +232,12 @@ impl VictimOrders {
         VictimOrders { entries, stride }
     }
 
-    /// Victims per thief (`nservers − 1`).
-    #[inline]
-    pub fn len_per_thief(&self) -> usize {
-        self.stride
-    }
-
     /// The scan order for `thief`: `(victim, common-ancestor level)` pairs,
     /// nearest domains first.
     #[inline]
     pub fn order(&self, thief: ProcId) -> &[(ProcId, u8)] {
         let s = thief.index() * self.stride;
         &self.entries[s..s + self.stride]
-    }
-
-    /// The `i`-th entry of `thief`'s scan order (indexed access for callers
-    /// that cannot hold the slice borrow across mutation).
-    #[inline]
-    pub fn entry(&self, thief: ProcId, i: usize) -> (ProcId, u8) {
-        self.entries[thief.index() * self.stride + i]
     }
 }
 
@@ -370,11 +366,156 @@ impl StealPolicy {
         }
         ceiling
     }
+
+    /// One steal scan by an idle server: the stealing policy both runtimes
+    /// run, with the victim queues left to the caller.
+    ///
+    /// Walks `order` (the thief's [`VictimOrders::order`]) nearest first,
+    /// skipping victims above the ceiling without a probe. The ceiling is
+    /// [`StealPolicy::allowed_level`] lifted by the feedback's
+    /// [`PolicyFeedback::extra_levels`]; the feedback's
+    /// [`PolicyFeedback::probe_cap`] bounds the probes. Each probe calls
+    /// `try_steal(victim, avoid_object, whole_sets)`. After
+    /// `last_resort_after` consecutive failed scans the thief is
+    /// *desperate*: object-affinity avoidance is waived, the ceiling is not
+    /// (stolen tasks must keep their objects in cluster-local memory, §6.3).
+    /// The first batch ends the scan. The scan notes its outcome in the
+    /// feedback and resets or bumps `failed_scans`; counting it into
+    /// [`SchedStats`] is left to [`ScanOutcome::record`], so a threaded
+    /// caller takes its stats lock only after every victim lock is released.
+    pub fn scan<T>(
+        &self,
+        topo: &Topology,
+        order: &[(ProcId, u8)],
+        failed_scans: &mut usize,
+        feedback: Option<&mut PolicyFeedback>,
+        mut try_steal: impl FnMut(ProcId, bool, bool) -> Option<StolenBatch<T>>,
+    ) -> ScanOutcome<T> {
+        let desperate = *failed_scans >= self.last_resort_after;
+        let avoid_object = self.avoid_object_affinity && !desperate;
+        let mut allowed = self.allowed_level(topo, *failed_scans);
+        let mut probe_cap = usize::MAX;
+        if let Some(fb) = &feedback {
+            allowed = allowed.saturating_add(fb.extra_levels());
+            probe_cap = fb.probe_cap();
+        }
+        let mut out = ScanOutcome {
+            probes: 0,
+            desperate,
+            stolen: None,
+        };
+        for &(victim, lvl) in order {
+            let level = lvl as usize;
+            if level > allowed {
+                continue;
+            }
+            if out.probes >= probe_cap {
+                break;
+            }
+            out.probes += 1;
+            if let Some(batch) = try_steal(victim, avoid_object, self.steal_whole_sets) {
+                // A stolen set re-queues as Task (its collocation is already
+                // broken); a single task as None.
+                let kind = if batch.token.is_some() {
+                    AffinityKind::Task
+                } else {
+                    AffinityKind::None
+                };
+                out.stolen = Some(Steal {
+                    victim,
+                    level,
+                    remote: level > topo.mem_level(),
+                    batch,
+                    kind,
+                });
+                break;
+            }
+        }
+        if let Some(fb) = feedback {
+            fb.note_scan(out.stolen.is_none());
+        }
+        *failed_scans = if out.stolen.is_some() {
+            0
+        } else {
+            *failed_scans + 1
+        };
+        out
+    }
+}
+
+/// A successful steal: where the batch came from and how the thief queues it.
+#[derive(Debug)]
+pub struct Steal<T> {
+    /// The server the batch was taken from.
+    pub victim: ProcId,
+    /// The thief–victim common-ancestor level ([`Topology::common_level`]).
+    pub level: usize,
+    /// The victim sits outside the thief's cluster (above the memory level).
+    pub(crate) remote: bool,
+    /// The stolen tasks.
+    pub batch: StolenBatch<T>,
+    /// The class to re-queue the batch under: `Task` for a whole set, `None`
+    /// for a single task.
+    pub kind: AffinityKind,
+}
+
+/// What one [`StealPolicy::scan`] did.
+#[derive(Debug)]
+pub struct ScanOutcome<T> {
+    /// Victims probed; a runtime charges its steal cost per probe.
+    pub probes: usize,
+    /// The scan was a last resort (object-affinity avoidance waived).
+    pub(crate) desperate: bool,
+    /// The steal, or `None` when every probe came back empty.
+    pub stolen: Option<Steal<T>>,
+}
+
+impl<T> ScanOutcome<T> {
+    /// Count the scan into `stats`: the stolen tasks and set, a remote or
+    /// desperate steal and its level bucket on success, a failed steal
+    /// otherwise.
+    pub fn record(&self, stats: &mut SchedStats) {
+        let Some(s) = &self.stolen else {
+            stats.failed_steals += 1;
+            return;
+        };
+        stats.tasks_stolen += s.batch.tasks.len() as u64;
+        if s.batch.token.is_some() {
+            stats.sets_stolen += 1;
+        }
+        if s.remote {
+            stats.remote_steals += 1;
+        }
+        if self.desperate {
+            stats.desperate_steals += 1;
+        }
+        stats.steals_by_level[s.level] += 1;
+    }
+
+    /// The scan's trace event for `thief`, stamped with the caller's `time`.
+    pub fn event(&self, thief: ProcId, time: u64) -> ObsEvent {
+        match &self.stolen {
+            Some(s) => ObsEvent::StealSuccess {
+                thief,
+                victim: s.victim,
+                token: s.batch.token,
+                ntasks: s.batch.tasks.len(),
+                time,
+            },
+            None => ObsEvent::StealFail {
+                thief,
+                probes: self.probes,
+                time,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feedback::AdaptiveConfig;
+    use crate::ids::ObjRef;
 
     #[test]
     fn clusters_partition_processors() {
@@ -457,14 +598,12 @@ mod tests {
             Topology::tree(24, &[2, 8], 1),
         ] {
             let orders = topo.victim_orders();
-            assert_eq!(orders.len_per_thief(), topo.nservers - 1);
             for t in 0..topo.nservers {
                 let thief = ProcId(t);
                 let fresh = topo.steal_order(thief);
                 let pre: Vec<ProcId> = orders.order(thief).iter().map(|&(v, _)| v).collect();
                 assert_eq!(pre, fresh, "thief {t}");
-                for (i, &(v, lvl)) in orders.order(thief).iter().enumerate() {
-                    assert_eq!(orders.entry(thief, i), (v, lvl));
+                for &(v, lvl) in orders.order(thief) {
                     assert_eq!(lvl as usize, topo.common_level(thief, v));
                 }
             }
@@ -488,6 +627,180 @@ mod tests {
         assert_eq!(widen.allowed_level(&deep, 0), 0);
         assert_eq!(widen.allowed_level(&deep, 2), 2);
         assert_eq!(widen.allowed_level(&deep, 9), 9);
+    }
+
+    /// A tree's victims by level from thief 0: 1 SMT sibling (level 0), 6
+    /// more in the 8-processor cluster, 24 more in the socket, 32 beyond.
+    fn deep() -> Topology {
+        Topology::tree(64, &[2, 8, 32], 1)
+    }
+
+    type Probe = (ProcId, bool, bool);
+
+    /// One scan by thief 0 of [`deep`] against a scripted `try_steal`: the
+    /// `rich` victims hold a batch (three tasks under a token, else one),
+    /// the rest are empty. Returns the outcome and every probe as
+    /// `(victim, avoid_object, whole_sets)`.
+    fn scan_deep(
+        policy: StealPolicy,
+        failed_scans: &mut usize,
+        feedback: Option<&mut PolicyFeedback>,
+        rich: &[(usize, Option<ObjRef>)],
+    ) -> (ScanOutcome<u32>, Vec<Probe>) {
+        let topo = deep();
+        let orders = topo.victim_orders();
+        let mut probes = Vec::new();
+        let out = policy.scan(
+            &topo,
+            orders.order(ProcId(0)),
+            failed_scans,
+            feedback,
+            |v, avoid, whole| {
+                probes.push((v, avoid, whole));
+                let &(_, token) = rich.iter().find(|&&(r, _)| r == v.index())?;
+                let tasks = if token.is_some() {
+                    vec![7, 8, 9]
+                } else {
+                    vec![7]
+                };
+                Some(StolenBatch { token, tasks })
+            },
+        );
+        (out, probes)
+    }
+
+    fn adaptive(probe_base: u32, probe_per_depth: u32) -> AdaptiveConfig {
+        AdaptiveConfig {
+            window: 1,
+            widen_fail_permille: 500,
+            migrate_remote_permille: 0,
+            probe_base,
+            probe_per_depth,
+        }
+    }
+
+    #[test]
+    fn scan_skips_levels_above_the_ceiling_without_probing() {
+        let mut failed = 0;
+        let (out, probes) = scan_deep(StealPolicy::cluster_only(), &mut failed, None, &[]);
+        assert_eq!(out.probes, 7);
+        assert_eq!(probes.len(), 7);
+        let far = |&(v, _, _): &Probe| deep().common_level(ProcId(0), v) > 1;
+        assert!(!probes.iter().any(far));
+        assert!(out.stolen.is_none());
+        assert_eq!(failed, 1);
+        // A set beyond the radius stays where it is.
+        let rich = [(40, Some(ObjRef(1)))];
+        let (out, _) = scan_deep(StealPolicy::with_radius(1), &mut 0, None, &rich);
+        assert_eq!(out.probes, 31);
+        assert!(out.stolen.is_none());
+    }
+
+    #[test]
+    fn polite_widening_raises_the_ceiling_per_failed_scan() {
+        let mut failed = 0;
+        let mut scan = || scan_deep(StealPolicy::widening(), &mut failed, None, &[]).0;
+        let probes: Vec<usize> = (0..5).map(|_| scan().probes).collect();
+        assert_eq!(probes, [1, 7, 31, 63, 63]);
+        assert_eq!(failed, 5);
+    }
+
+    #[test]
+    fn feedback_extra_levels_lift_the_ceiling() {
+        let co = StealPolicy::cluster_only();
+        let mut fb = PolicyFeedback::new(adaptive(0, 0), 3);
+        let mut failed = 0;
+        let (out, _) = scan_deep(co, &mut failed, Some(&mut fb), &[]);
+        assert_eq!(out.probes, 7);
+        // The scan noted its failure: the window it closes is starved.
+        assert!(fb.note_task(0, 0, 0));
+        assert_eq!(fb.extra_levels(), 1);
+        let (out, _) = scan_deep(co, &mut failed, Some(&mut fb), &[]);
+        assert_eq!(out.probes, 31);
+        assert!(fb.note_task(0, 0, 0));
+        assert_eq!(fb.extra_levels(), 2);
+        // A successful scan is noted too, and the widening decays.
+        let rich = [(9, None)];
+        let (out, _) = scan_deep(co, &mut failed, Some(&mut fb), &rich);
+        assert_eq!(out.stolen.map(|s| s.level), Some(2));
+        assert!(!fb.note_task(0, 0, 0));
+        assert_eq!(fb.extra_levels(), 1);
+    }
+
+    #[test]
+    fn probe_cap_stops_the_scan() {
+        let mut fb = PolicyFeedback::new(adaptive(2, 1), 3);
+        fb.note_task(0, 0, 1);
+        assert_eq!(fb.probe_cap(), 3);
+        // Victim 8 is eighth in thief 0's order: past the cap.
+        let rich = [(8, Some(ObjRef(1)))];
+        let (out, probes) = scan_deep(StealPolicy::default(), &mut 0, Some(&mut fb), &rich);
+        assert_eq!((out.probes, probes.len()), (3, 3));
+        assert!(out.stolen.is_none());
+    }
+
+    #[test]
+    fn desperation_lifts_object_avoidance_not_the_ceiling() {
+        let policy = StealPolicy::cluster_only();
+        assert_eq!(policy.last_resort_after, 2);
+        let mut failed = 0;
+        for avoid in [true, true, false, false] {
+            let (out, probes) = scan_deep(policy, &mut failed, None, &[]);
+            assert_eq!(out.probes, 7, "the cluster boundary holds");
+            assert_eq!(out.desperate, !avoid);
+            assert!(probes.iter().all(|&(_, a, whole)| a == avoid && whole));
+        }
+        let mut stats = SchedStats::default();
+        let (out, _) = scan_deep(policy, &mut failed, None, &[(3, None)]);
+        out.record(&mut stats);
+        // Victim 3 shares the thief's cluster: not a remote steal.
+        assert_eq!(
+            (stats.desperate_steals, stats.remote_steals, failed),
+            (1, 0, 0)
+        );
+        // Without whole-set stealing the flag reaches every probe.
+        let singles = StealPolicy {
+            steal_whole_sets: false,
+            ..policy
+        };
+        let (_, probes) = scan_deep(singles, &mut 0, None, &[]);
+        assert!(probes.iter().all(|&(_, avoid, whole)| avoid && !whole));
+    }
+
+    #[test]
+    fn steals_are_classified_and_counted_by_level() {
+        let policy = StealPolicy::default();
+        let mut stats = SchedStats::default();
+        let mut failed = 1;
+        let (set, _) = scan_deep(policy, &mut failed, None, &[(8, Some(ObjRef(5)))]);
+        assert_eq!(failed, 0);
+        let s = set.stolen.as_ref().expect("victim 8 holds a set");
+        assert_eq!(
+            (s.victim, s.level, s.remote, s.kind),
+            (ProcId(8), 2, true, AffinityKind::Task)
+        );
+        set.record(&mut stats);
+        let (single, _) = scan_deep(policy, &mut failed, None, &[(1, None), (8, None)]);
+        let s = single.stolen.as_ref().expect("victim 1 holds a task");
+        assert_eq!(
+            (s.victim, s.level, s.remote, s.kind),
+            (ProcId(1), 0, false, AffinityKind::None)
+        );
+        single.record(&mut stats);
+        let (miss, _) = scan_deep(policy, &mut failed, None, &[]);
+        assert_eq!(miss.probes, 63);
+        miss.record(&mut stats);
+        assert_eq!(failed, 1);
+        let mut want = SchedStats {
+            tasks_stolen: 4,
+            sets_stolen: 1,
+            remote_steals: 1,
+            failed_steals: 1,
+            ..SchedStats::default()
+        };
+        want.steals_by_level[0] = 1;
+        want.steals_by_level[2] = 1;
+        assert_eq!(stats, want);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 use std::collections::VecDeque;
 
 use crate::affinity::{hash_token, AffinityKind};
-use crate::ids::ObjRef;
+use crate::ids::{ObjRef, ProcId};
+use crate::obs::ObsEvent;
 
 /// Classification of a queue slot for steal policies, derived from the tasks
 /// it currently holds.
@@ -83,6 +84,19 @@ pub struct SlotUpdate {
     pub slot: Option<usize>,
     /// True when the enqueue took the slot from empty to linked.
     pub newly_linked: bool,
+}
+
+impl SlotUpdate {
+    /// The trace event for an enqueue of `token` on `proc` at `time`, if
+    /// the enqueue linked a slot.
+    pub fn link_event(&self, proc: ProcId, token: Option<ObjRef>, time: u64) -> Option<ObsEvent> {
+        Some(ObsEvent::SlotLink {
+            proc,
+            slot: self.slot.filter(|_| self.newly_linked)?,
+            token: token?,
+            time,
+        })
+    }
 }
 
 /// A dequeued task plus the queue bookkeeping the observability layer wants.
@@ -156,6 +170,21 @@ impl<T> ServerQueues<T> {
     #[inline]
     pub fn slot_of(&self, token: ObjRef) -> usize {
         hash_token(token) % self.slots.len()
+    }
+
+    /// Enqueue a task: into its affinity slot when it carries a `token`, on
+    /// the default queue otherwise.
+    pub fn push(&mut self, token: Option<ObjRef>, kind: AffinityKind, payload: T) -> SlotUpdate {
+        match token {
+            Some(token) => self.push_affinity(token, kind, payload),
+            None => {
+                self.push_default(kind, payload);
+                SlotUpdate {
+                    slot: None,
+                    newly_linked: false,
+                }
+            }
+        }
     }
 
     /// Enqueue a task carrying an affinity token into its slot.

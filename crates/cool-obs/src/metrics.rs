@@ -366,9 +366,10 @@ impl MetricsSummary {
     }
 }
 
-/// Pull the first `"key": <number>` after byte position `from` (the emitted
-/// JSON is flat with fixed key order, so scanning suffices offline).
-fn extract_number(json: &str, key: &str, from: usize) -> Option<(f64, usize)> {
+/// Pull the first `"key": <number>` after byte position `from`, with the
+/// byte position just past the key (the emitted JSON is flat with fixed key
+/// order, so scanning suffices offline).
+pub fn extract_number(json: &str, key: &str, from: usize) -> Option<(f64, usize)> {
     let needle = format!("\"{key}\":");
     let at = json[from..].find(&needle)? + from + needle.len();
     let rest = json[at..].trim_start();

@@ -714,23 +714,7 @@ fn enqueue(inner: &Inner, creator: ProcId, task: RtTask, ticket: ScopeTicket) {
     let server = &inner.servers[target.index()];
     {
         let mut q = server.queues.lock();
-        match spec.queue_token() {
-            Some(tok) => {
-                let update = q.push_affinity(tok, kind, queued);
-                if update.newly_linked && inner.obs_on() {
-                    inner.obs_emit(
-                        target.index(),
-                        ObsEvent::SlotLink {
-                            proc: target,
-                            slot: update.slot.expect("affinity push fills a slot"),
-                            token: tok,
-                            time: inner.now_ns(),
-                        },
-                    );
-                }
-            }
-            None => q.push_default(kind, queued),
-        }
+        push_task(inner, target.index(), &mut q, kind, queued);
         server.stats.lock().spawned += 1;
     }
     let _guard = server.sleep_lock.lock();
@@ -740,22 +724,24 @@ fn enqueue(inner: &Inner, creator: ProcId, task: RtTask, ticket: ScopeTicket) {
 /// Put a task back at the tail of its queue class on server `mi`.
 fn requeue(inner: &Inner, mi: usize, kind: AffinityKind, queued: Queued) {
     let mut q = inner.servers[mi].queues.lock();
-    match queued.task.affinity.queue_token() {
-        Some(tok) => {
-            let update = q.push_affinity(tok, kind, queued);
-            if update.newly_linked && inner.obs_on() {
-                inner.obs_emit(
-                    mi,
-                    ObsEvent::SlotLink {
-                        proc: ProcId(mi),
-                        slot: update.slot.expect("affinity push fills a slot"),
-                        token: tok,
-                        time: inner.now_ns(),
-                    },
-                );
-            }
+    push_task(inner, mi, &mut q, kind, queued);
+}
+
+/// Push a task onto server `si`'s queues `q` (locked by the caller),
+/// tracing the slot it newly links.
+fn push_task(
+    inner: &Inner,
+    si: usize,
+    q: &mut ServerQueues<Queued>,
+    kind: AffinityKind,
+    queued: Queued,
+) {
+    let token = queued.task.affinity.queue_token();
+    let update = q.push(token, kind, queued);
+    if inner.obs_on() {
+        if let Some(ev) = update.link_event(ProcId(si), token, inner.now_ns()) {
+            inner.obs_emit(si, ev);
         }
-        None => q.push_default(kind, queued),
     }
 }
 
@@ -809,8 +795,10 @@ fn worker_loop(inner: &Inner, me: ProcId) {
                 }
             }
             let (kind, queued) = (popped.kind, popped.payload);
-            failed_scans = 0;
             if run_or_rotate(inner, me, kind, queued) {
+                // Progress ends the failed-scan streak; a mutex rotation
+                // does not.
+                failed_scans = 0;
                 mutex_rotations = 0;
                 // Task-boundary feedback sample. The host runtime has no
                 // memory model, so the reference signals are zero and only
@@ -835,92 +823,28 @@ fn worker_loop(inner: &Inner, me: ProcId) {
         }
         // 2. Steal.
         if inner.policy.enabled {
-            let desperate = failed_scans >= inner.policy.last_resort_after;
-            // Strict locality ceilings (see cool-sim): desperation lifts
-            // only the object-affinity avoidance, never the cluster/radius
-            // boundary; polite widening raises itself per failed scan.
-            let allowed = inner.policy.allowed_level(&inner.topology, failed_scans);
-            // Adaptive widening and probe capping, from this worker's own
-            // feedback (see cool-sim's steal scan for the same controls).
-            let (allowed, probe_cap) = match &feedback {
-                Some(fb) => (allowed.saturating_add(fb.extra_levels()), fb.probe_cap()),
-                None => (allowed, usize::MAX),
-            };
-            let mem_level = inner.topology.mem_level() as u8;
-            let mut stolen = None;
-            let mut probes = 0usize;
-            for &(v, lvl) in inner.victims.order(me) {
-                if (lvl as usize) > allowed {
-                    continue;
-                }
-                if probes >= probe_cap {
-                    break;
-                }
-                let cross = lvl > mem_level;
-                probes += 1;
-                let avoid = inner.policy.avoid_object_affinity && !desperate;
-                let batch = inner.servers[v.index()]
-                    .queues
-                    .lock()
-                    .steal_with(avoid, inner.policy.steal_whole_sets);
-                if let Some(batch) = batch {
-                    let mut st = inner.servers[mi].stats.lock();
-                    st.tasks_stolen += batch.tasks.len() as u64;
-                    if batch.token.is_some() {
-                        st.sets_stolen += 1;
-                    }
-                    if cross {
-                        st.remote_steals += 1;
-                    }
-                    if desperate {
-                        st.desperate_steals += 1;
-                    }
-                    st.steals_by_level[lvl as usize] += 1;
-                    drop(st);
-                    if inner.obs_on() {
-                        inner.obs_emit(
-                            mi,
-                            ObsEvent::StealSuccess {
-                                thief: me,
-                                victim: v,
-                                token: batch.token,
-                                ntasks: batch.tasks.len(),
-                                time: inner.now_ns(),
-                            },
-                        );
-                    }
-                    stolen = Some(batch);
-                    break;
-                }
+            let scan = inner.policy.scan(
+                &inner.topology,
+                inner.victims.order(me),
+                &mut failed_scans,
+                feedback.as_mut(),
+                |v, avoid_object, whole_sets| {
+                    inner.servers[v.index()]
+                        .queues
+                        .lock()
+                        .steal_with(avoid_object, whole_sets)
+                },
+            );
+            // Only now, with every victim queue lock released: `enqueue`
+            // takes a queue lock and then that server's stats lock.
+            scan.record(&mut inner.servers[mi].stats.lock());
+            if inner.obs_on() {
+                inner.obs_emit(mi, scan.event(me, inner.now_ns()));
             }
-            if let Some(fb) = feedback.as_mut() {
-                fb.note_scan(stolen.is_none());
-            }
-            match stolen {
-                Some(batch) => {
-                    let kind = if batch.token.is_some() {
-                        AffinityKind::Task
-                    } else {
-                        AffinityKind::None
-                    };
-                    inner.servers[mi].queues.lock().push_stolen(batch, kind);
-                    failed_scans = 0;
-                    continue;
-                }
-                None => {
-                    failed_scans += 1;
-                    inner.servers[mi].stats.lock().failed_steals += 1;
-                    if inner.obs_on() {
-                        inner.obs_emit(
-                            mi,
-                            ObsEvent::StealFail {
-                                thief: me,
-                                probes,
-                                time: inner.now_ns(),
-                            },
-                        );
-                    }
-                }
+            if let Some(steal) = scan.stolen {
+                let mut q = inner.servers[mi].queues.lock();
+                q.push_stolen(steal.batch, steal.kind);
+                continue;
             }
         }
         // 3. Sleep until woken or shutdown.

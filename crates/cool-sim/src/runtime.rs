@@ -284,8 +284,8 @@ impl SimRuntime {
         let topology = cfg.machine.topology();
         SimRuntime {
             machine,
-            topology: cfg.machine.topology(),
-            victims: cfg.machine.topology().victim_orders(),
+            topology,
+            victims: topology.victim_orders(),
             queues: (0..n).map(|_| ServerQueues::new(cfg.affinity_slots)).collect(),
             clocks: vec![0; n],
             stats: SchedStats::default(),
@@ -526,21 +526,9 @@ impl SimRuntime {
     /// when a new task-affinity set starts queueing.
     fn push_local(&mut self, p: ProcId, kind: AffinityKind, st: SimTask) {
         let token = st.task.affinity.queue_token();
-        match token {
-            Some(tok) => {
-                let up = self.queues[p.index()].push_affinity(tok, kind, st);
-                if up.newly_linked {
-                    if let Some(slot) = up.slot {
-                        self.obs_emit(ObsEvent::SlotLink {
-                            proc: p,
-                            slot,
-                            token: tok,
-                            time: self.clocks[p.index()],
-                        });
-                    }
-                }
-            }
-            None => self.queues[p.index()].push_default(kind, st),
+        let up = self.queues[p.index()].push(token, kind, st);
+        if let Some(ev) = up.link_event(p, token, self.clocks[p.index()]) {
+            self.obs_emit(ev);
         }
     }
 
@@ -986,102 +974,34 @@ impl SimRuntime {
         }
         let policy = self.cfg.policy;
         if policy.enabled {
-            let desperate = self.failed_scans[pi] >= policy.last_resort_after;
-            // Locality ceilings are strict: the whole point of the Section
-            // 6.3 experiment is that stolen tasks keep referencing their
-            // objects in cluster-local memory, so desperation lifts only
-            // the object-affinity avoidance, never the cluster boundary
-            // (or its generalizations: the per-level radius, and the polite
-            // widening that raises itself one level per failed scan).
-            let allowed = policy.allowed_level(&self.topology, self.failed_scans[pi]);
-            // Adaptive widening: the feedback loop lifts the static ceiling
-            // by whole topology levels while observed steal failure shows
-            // starvation (and decays it back once steals succeed). The
-            // probe cap bounds how many victims this scan may touch.
-            let (allowed, probe_cap) = match &self.feedback {
-                Some(fb) => (
-                    allowed.saturating_add(fb.extra_levels()),
-                    fb.probe_cap() as u64,
-                ),
-                None => (allowed, u64::MAX),
-            };
-            let mem_level = self.topology.mem_level() as u8;
-            let mut probes = 0u64;
-            for i in 0..self.victims.len_per_thief() {
-                let (v, lvl) = self.victims.entry(p, i);
-                if (lvl as usize) > allowed {
-                    continue;
-                }
-                if probes >= probe_cap {
-                    break;
-                }
-                let cross_cluster = lvl > mem_level;
-                probes += 1;
-                let avoid_object = policy.avoid_object_affinity && !desperate;
-                if let Some(batch) =
-                    self.queues[v.index()].steal_with(avoid_object, policy.steal_whole_sets)
-                {
-                    let n = batch.tasks.len() as u64;
-                    let stolen_token = batch.token;
-                    self.stats.tasks_stolen += n;
-                    if batch.token.is_some() {
-                        self.stats.sets_stolen += 1;
-                    }
-                    if cross_cluster {
-                        self.stats.remote_steals += 1;
-                    }
-                    if desperate {
-                        self.stats.desperate_steals += 1;
-                    }
-                    self.stats.steals_by_level[lvl as usize] += 1;
-                    // Stolen tasks keep their original target for adherence
-                    // accounting; re-steal classification is Task for sets
-                    // (their collocation is already broken) and None for
-                    // singles.
-                    let kind = if batch.token.is_some() {
-                        AffinityKind::Task
-                    } else {
-                        AffinityKind::None
-                    };
-                    self.queues[pi].push_stolen(batch, kind);
-                    let cost = probes * self.cfg.steal_probe_cost + self.cfg.steal_xfer_cost;
-                    self.clocks[pi] += cost;
-                    self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
-                    self.failed_scans[pi] = 0;
-                    if self.obs_on() {
-                        self.obs_emit(ObsEvent::StealSuccess {
-                            thief: p,
-                            victim: v,
-                            token: stolen_token,
-                            ntasks: n as usize,
-                            time: self.clocks[pi],
-                        });
-                    }
-                    if let Some(fb) = self.feedback.as_mut() {
-                        fb.note_scan(false);
-                    }
-                    // Run the first stolen task immediately. Besides matching
-                    // what a real thief does, this guarantees progress: a
-                    // steal always executes at least one task, so whole-set
-                    // steals cannot ping-pong a set between idle servers
-                    // indefinitely.
-                    return self.dispatch(p);
-                }
+            let scan = policy.scan(
+                &self.topology,
+                self.victims.order(p),
+                &mut self.failed_scans[pi],
+                self.feedback.as_mut(),
+                |v, avoid_object, whole_sets| {
+                    self.queues[v.index()].steal_with(avoid_object, whole_sets)
+                },
+            );
+            scan.record(&mut self.stats);
+            let mut cost = scan.probes as u64 * self.cfg.steal_probe_cost;
+            if scan.stolen.is_some() {
+                cost += self.cfg.steal_xfer_cost;
             }
-            let cost = probes * self.cfg.steal_probe_cost;
             self.clocks[pi] += cost;
             self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
-            self.failed_scans[pi] += 1;
-            self.stats.failed_steals += 1;
-            if let Some(fb) = self.feedback.as_mut() {
-                fb.note_scan(true);
-            }
             if self.obs_on() {
-                self.obs_emit(ObsEvent::StealFail {
-                    thief: p,
-                    probes: probes as usize,
-                    time: self.clocks[pi],
-                });
+                self.obs_emit(scan.event(p, self.clocks[pi]));
+            }
+            if let Some(steal) = scan.stolen {
+                // Stolen tasks keep their original target for adherence
+                // accounting.
+                self.queues[pi].push_stolen(steal.batch, steal.kind);
+                // Run the first stolen task immediately. Besides matching
+                // what a real thief does, this guarantees progress: a steal
+                // always executes at least one task, so whole-set steals
+                // cannot ping-pong a set between idle servers indefinitely.
+                return self.dispatch(p);
             }
         }
         // Idle: advance past the earliest server that still has work, so it

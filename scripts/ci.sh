@@ -20,6 +20,11 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Benchmark gate: coolbench is a package of its own that builds against the
+# crates' public API. A crate change that breaks it fails here, not in the
+# benchmark pipeline.
+run cargo test --release --offline --manifest-path coolbench/Cargo.toml
+
 # Analyze gate: run the happens-before / lock-order / lint passes over all
 # six apps (default + fault-injected schedules). The binary exits non-zero
 # on any race or lock cycle; the diff check makes lint findings (and any
