@@ -31,6 +31,10 @@ pub struct RunReport {
     /// engine (queue waits, busy cycles, peak occupancy). All zeros when
     /// the machine runs in zero-contention mode.
     pub contention: ContentionStats,
+    /// Demand misses the contention engine dispatched through its event
+    /// queue because a prefetch was pending; the rest took the
+    /// straight-line walk. 0 in zero-contention mode.
+    pub contention_heap_demands: u64,
     /// The machine tree the run was scheduled on (pairs with
     /// [`SchedStats::steals_by_level`] for per-level steal attribution).
     pub topology: Topology,
@@ -90,6 +94,7 @@ mod tests {
             coherence_transitions: 0,
             coherence_violations: 0,
             contention: ContentionStats::default(),
+            contention_heap_demands: 0,
             topology: Topology::clustered(4, 4),
         };
         assert!((r.speedup(1000) - 4.0).abs() < 1e-12);
@@ -109,6 +114,7 @@ mod tests {
             coherence_transitions: 0,
             coherence_violations: 0,
             contention: ContentionStats::default(),
+            contention_heap_demands: 0,
             topology: Topology::flat(1),
         };
         assert_eq!(r.speedup(100), 0.0);

@@ -460,6 +460,7 @@ impl SimRuntime {
             coherence_transitions: self.machine.transitions_checked(),
             coherence_violations: self.machine.violation_count(),
             contention: self.machine.contention_stats(),
+            contention_heap_demands: self.machine.contention_heap_demands(),
             topology: self.topology,
         }
     }

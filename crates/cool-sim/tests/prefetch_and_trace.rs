@@ -135,3 +135,34 @@ fn trace_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn pending_prefetches_send_demand_misses_through_the_event_queue() {
+    // With the contention engine on, a prefetch posts its fills without
+    // waiting; a demand miss issued while they are still queued must
+    // interleave with them on the event heap rather than walk alone.
+    let cfg = SimConfig::new(
+        MachineConfig::dash_small(8).with_contention(dash_sim::ContentionConfig::dash()),
+    )
+    .with_policy(StealPolicy::disabled());
+    let mut rt = SimRuntime::new(cfg);
+    let prefetched = rt.machine_mut().alloc_on_node(NodeId(1), 4096);
+    let demanded = rt.machine_mut().alloc_on_node(NodeId(1), 4096);
+    rt.reset_monitor();
+    rt.run_phase(move |ctx| {
+        ctx.spawn(
+            Task::new(move |c| {
+                c.read(demanded, 4096);
+                c.compute(100);
+            })
+            .with_affinity(AffinitySpec::processor(0))
+            .with_prefetch(vec![(prefetched, 4096)]),
+        );
+    });
+    let rep = rt.report();
+    assert!(rep.contention.total_requests() > 0, "{:?}", rep.contention);
+    assert!(
+        rep.contention_heap_demands > 0,
+        "no demand miss met a pending prefetch"
+    );
+}

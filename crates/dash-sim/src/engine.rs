@@ -16,11 +16,18 @@
 //!   service time and bounded occupancy accounting — concurrent
 //!   transactions queue FIFO and *interfere* instead of passing through
 //!   each other;
-//! * hop arrivals are dispatched from a monotonic event queue (a binary
-//!   heap keyed on `(cycle, sequence)`; a radix heap would require
-//!   monotonically non-decreasing keys, which task-grain processor-clock
-//!   skew violates, so the general heap is used) — prefetch transactions
-//!   posted earlier genuinely overlap demand misses arriving later.
+//! * a demand miss arriving when no posted transaction is pending walks
+//!   its hop chain straight through: each hop is granted at the cycle the
+//!   previous one finished. This is exact, not a shortcut — with an empty
+//!   queue the event calendar would pop the chain's hops back to back in
+//!   the same order, because each later hop is keyed at a strictly later
+//!   `(cycle, sequence)` — and it keeps every counter the calendar keeps;
+//! * posted (prefetch) transactions, and any demand miss issued while one
+//!   is pending, are ordered by an event queue (a binary heap keyed on
+//!   `(cycle, sequence)`; a radix heap would require monotonically
+//!   non-decreasing keys, which task-grain processor-clock skew violates,
+//!   so the general heap is used) — prefetches posted earlier genuinely
+//!   overlap demand misses arriving later.
 //!
 //! ## Charging model
 //!
@@ -44,7 +51,8 @@
 //!
 //! * **txn-fifo** — a resource grants transactions in arrival order within
 //!   a drain: successive grants carry non-decreasing `(cycle, sequence)`
-//!   arrival keys.
+//!   arrival keys. A straight-line walk is a drain of one transaction, so
+//!   it holds there by construction.
 //! * **txn-conservation** — transactions are conserved: every transaction
 //!   issued is either completed or still has exactly one hop event in the
 //!   queue; none are lost or duplicated.
@@ -227,7 +235,8 @@ pub struct Resource {
     service: u64,
     /// Virtual cycle until which the server is committed.
     next_free: u64,
-    /// Arrival key of the most recent grant (FIFO check; reset per drain).
+    /// Arrival key of the most recent grant (FIFO check; written and reset
+    /// per drain only in checked mode).
     last_grant: Option<(u64, u64)>,
     stats: ResourceStats,
 }
@@ -337,6 +346,9 @@ pub struct Engine {
     events: u64,
     /// Wait of the most recently completed demand transaction.
     demand_wait: u64,
+    /// Demand transactions that went through the event queue instead of
+    /// the straight-line walk.
+    heap_demands: u64,
     checked: bool,
     violations: Vec<CoherenceViolation>,
     violation_count: u64,
@@ -369,6 +381,7 @@ impl Engine {
             completed: 0,
             events: 0,
             demand_wait: 0,
+            heap_demands: 0,
             checked: false,
             violations: Vec::new(),
             violation_count: 0,
@@ -405,6 +418,14 @@ impl Engine {
     /// Hop events still queued (posted transactions not yet drained).
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Demand transactions dispatched through the event queue because a
+    /// posted transaction was pending (or a seeded FIFO defect was armed)
+    /// when they arrived. Every other demand miss took the straight-line
+    /// walk, so with no prefetches this stays 0.
+    pub fn heap_demands(&self) -> u64 {
+        self.heap_demands
     }
 
     /// Total invariant violations detected (counted even past the storage
@@ -468,12 +489,57 @@ impl Engine {
     /// Issue a demand transaction at `now` and run the event queue dry.
     /// Returns the wait to charge the issuing processor: the transaction's
     /// queue wait, capped at `queue_depth ×` its total service demand.
+    ///
+    /// With nothing posted the chain is walked straight through (see the
+    /// module docs for why that equals the event-queue dispatch); otherwise
+    /// it joins the queue and interleaves with the posted transactions.
     pub fn transact(&mut self, now: u64, hops: &[Hop]) -> u64 {
+        if self.queue.is_empty() && !self.defect_fifo {
+            self.walk(now, hops)
+        } else {
+            self.heap_demands += 1;
+            self.transact_queued(now, hops)
+        }
+    }
+
+    /// The straight-line path: grant each hop at the cycle the previous one
+    /// finished, keeping the event-queue path's bookkeeping (one sequence
+    /// number and one event per hop, one issued and completed transaction).
+    fn walk(&mut self, now: u64, hops: &[Hop]) -> u64 {
+        debug_assert!(!hops.is_empty() && hops.len() <= MAX_HOPS);
+        let mut time = now;
+        let mut wait = 0;
+        let mut total_service = 0;
+        for &hop in hops {
+            let (w, service) = self.grant(hop, time);
+            time += w + service;
+            wait += w;
+            total_service += service;
+        }
+        let n = hops.len() as u64;
+        self.seq += n;
+        self.events += n;
+        self.issued += 1;
+        self.completed += 1;
+        self.demand_wait = wait;
+        self.check_conservation();
+        self.charge(wait, total_service)
+    }
+
+    /// The event-queue path: enqueue the transaction behind whatever is
+    /// posted and run the queue dry.
+    fn transact_queued(&mut self, now: u64, hops: &[Hop]) -> u64 {
         let txn = self.alloc_txn(hops, true);
         self.push_event(now, txn);
         self.drain();
         let total_service: u64 = hops.iter().map(|h| self.service_of(h.kind)).sum();
-        self.demand_wait.min(self.cfg.queue_depth * total_service)
+        self.charge(self.demand_wait, total_service)
+    }
+
+    /// The wait charged for a raw queue wait: capped at `queue_depth ×` the
+    /// transaction's total service demand.
+    fn charge(&self, wait: u64, total_service: u64) -> u64 {
+        wait.min(self.cfg.queue_depth * total_service)
     }
 
     /// Post a transaction at `now` without waiting for it (prefetch: the
@@ -504,6 +570,22 @@ impl Engine {
         }
     }
 
+    /// The resource instance a hop occupies.
+    fn resource_mut(&mut self, hop: Hop) -> &mut Resource {
+        match hop.kind {
+            ResourceKind::Bus => &mut self.bus[hop.cluster],
+            ResourceKind::Net => &mut self.net[hop.cluster],
+            ResourceKind::Dir => &mut self.dir[hop.cluster],
+            ResourceKind::Mem => &mut self.mem[hop.cluster],
+        }
+    }
+
+    /// Admit `hop` at `time`: returns its queue wait and service time.
+    fn grant(&mut self, hop: Hop, time: u64) -> (u64, u64) {
+        let r = self.resource_mut(hop);
+        (r.acquire(time), r.service)
+    }
+
     /// Dispatch every queued hop event in `(cycle, sequence)` order.
     ///
     /// One drain is one coherent episode of the event calendar: the FIFO
@@ -512,51 +594,49 @@ impl Engine {
     /// expected — within a drain, though, every resource must grant in
     /// arrival order.
     pub fn drain(&mut self) {
-        for r in self
-            .bus
-            .iter_mut()
-            .chain(self.net.iter_mut())
-            .chain(self.dir.iter_mut())
-            .chain(self.mem.iter_mut())
-        {
-            r.last_grant = if self.defect_fifo {
+        if self.checked {
+            let reset = if self.defect_fifo {
                 // Seeded defect: pretend a later arrival was already
                 // granted, so the first real grant appears reordered.
                 Some((u64::MAX, u64::MAX))
             } else {
                 None
             };
+            for r in self
+                .bus
+                .iter_mut()
+                .chain(self.net.iter_mut())
+                .chain(self.dir.iter_mut())
+                .chain(self.mem.iter_mut())
+            {
+                r.last_grant = reset;
+            }
         }
         self.defect_fifo = false;
         while let Some(ev) = self.queue.pop() {
             self.events += 1;
-            let t = self.txns[ev.txn];
+            let t = &self.txns[ev.txn];
             debug_assert!(t.live && t.next < t.nhops);
             let hop = t.hops[t.next as usize];
-            let checked = self.checked;
-            let r = match hop.kind {
-                ResourceKind::Bus => &mut self.bus[hop.cluster],
-                ResourceKind::Net => &mut self.net[hop.cluster],
-                ResourceKind::Dir => &mut self.dir[hop.cluster],
-                ResourceKind::Mem => &mut self.mem[hop.cluster],
-            };
-            let key = (ev.time, ev.seq);
-            let fifo_broken = checked && r.last_grant.is_some_and(|lg| lg > key);
-            r.last_grant = Some(key);
-            let wait = r.acquire(ev.time);
-            let service = r.service;
-            if fifo_broken {
-                self.record_violation(
-                    "txn-fifo",
-                    ev.seq,
-                    format!(
-                        "{}[{}] granted arrival at cycle {} behind a later arrival",
-                        hop.kind.name(),
-                        hop.cluster,
-                        ev.time
-                    ),
-                );
+            if self.checked {
+                let key = (ev.time, ev.seq);
+                let r = self.resource_mut(hop);
+                let fifo_broken = r.last_grant.is_some_and(|lg| lg > key);
+                r.last_grant = Some(key);
+                if fifo_broken {
+                    self.record_violation(
+                        "txn-fifo",
+                        ev.seq,
+                        format!(
+                            "{}[{}] granted arrival at cycle {} behind a later arrival",
+                            hop.kind.name(),
+                            hop.cluster,
+                            ev.time
+                        ),
+                    );
+                }
             }
+            let (wait, service) = self.grant(hop, ev.time);
             let txn = &mut self.txns[ev.txn];
             txn.wait += wait;
             txn.next += 1;
@@ -573,6 +653,12 @@ impl Engine {
                 self.push_event(ev.time + wait + service, ev.txn);
             }
         }
+        self.check_conservation();
+    }
+
+    /// In checked mode, record `txn-conservation` unless every issued
+    /// transaction is either completed or has one hop event queued.
+    fn check_conservation(&mut self) {
         if self.checked && self.issued != self.completed + self.queue.len() as u64 {
             self.record_violation(
                 "txn-conservation",
@@ -783,6 +869,148 @@ mod tests {
         }
         assert_eq!(r.stats().peak_occupancy, 1);
         assert_eq!(r.stats().busy_cycles, 0);
+    }
+
+    /// A deterministic splitmix64 stream for the lockstep histories.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random chain of 1..=MAX_HOPS hops, or (one time in four) a dirty
+    /// three-hop that leaves and re-enters through the same cluster's bus.
+    fn random_chain(rng: &mut Rng, nclusters: usize, nnet: usize) -> Vec<Hop> {
+        let pick = |rng: &mut Rng, kind| {
+            let n = if kind == ResourceKind::Net { nnet } else { nclusters };
+            Hop {
+                kind,
+                cluster: rng.below(n as u64) as usize,
+            }
+        };
+        if rng.below(4) == 0 {
+            let bus = pick(rng, ResourceKind::Bus);
+            let net = pick(rng, ResourceKind::Net);
+            return vec![bus, net, pick(rng, ResourceKind::Dir), net, bus];
+        }
+        const KINDS: [ResourceKind; 4] = [
+            ResourceKind::Bus,
+            ResourceKind::Net,
+            ResourceKind::Dir,
+            ResourceKind::Mem,
+        ];
+        let len = 1 + rng.below(MAX_HOPS as u64) as usize;
+        (0..len)
+            .map(|_| {
+                let kind = KINDS[rng.below(4) as usize];
+                pick(rng, kind)
+            })
+            .collect()
+    }
+
+    /// Everything observable about an engine after a history.
+    fn observe(e: &Engine) -> (ContentionStats, u64, u64, u64, u64, usize, u64) {
+        (
+            e.stats(),
+            e.events_processed(),
+            e.issued(),
+            e.completed(),
+            e.seq,
+            e.pending(),
+            e.violation_count(),
+        )
+    }
+
+    #[test]
+    fn walk_matches_the_event_queue_in_lockstep() {
+        let zero_dir = ContentionConfig {
+            dir_service: 0,
+            ..ContentionConfig::dash()
+        };
+        let mut walked = 0;
+        let mut queued = 0;
+        for seed in 0..24u64 {
+            let cfg = if seed % 3 == 2 {
+                zero_dir
+            } else {
+                ContentionConfig::dash()
+            };
+            let nclusters = 2 + (seed % 4) as usize;
+            let (mut a, mut b) = if seed % 2 == 0 {
+                (Engine::new(cfg, nclusters), Engine::new(cfg, nclusters))
+            } else {
+                let nnet = nclusters + 1 + (seed % 5) as usize;
+                (
+                    Engine::with_nets(cfg, nclusters, nnet),
+                    Engine::with_nets(cfg, nclusters, nnet),
+                )
+            };
+            let checked = seed % 4 == 1;
+            a.set_checked(checked);
+            b.set_checked(checked);
+            let nnet = a.net.len();
+            let mut rng = Rng(seed);
+            let mut clock = 0u64;
+            for step in 0..400 {
+                // Mostly advancing clocks with task-grain skew: an arrival
+                // may carry an earlier cycle than the previous one.
+                clock += rng.below(40);
+                let now = clock.saturating_sub(rng.below(120));
+                let hops = random_chain(&mut rng, nclusters, nnet);
+                if rng.below(5) == 0 {
+                    a.post(now, &hops);
+                    b.post(now, &hops);
+                } else {
+                    let before = a.heap_demands();
+                    let wa = a.transact(now, &hops);
+                    let wb = b.transact_queued(now, &hops);
+                    assert_eq!(wa, wb, "seed {seed} step {step}: charged waits differ");
+                    if a.heap_demands() == before {
+                        walked += 1;
+                    } else {
+                        queued += 1;
+                    }
+                }
+                assert_eq!(observe(&a), observe(&b), "seed {seed} step {step}");
+            }
+            a.drain();
+            b.drain();
+            assert_eq!(
+                observe(&a),
+                observe(&b),
+                "seed {seed} after the final drain"
+            );
+            assert_eq!(a.violation_count(), 0, "{:?}", a.take_violations());
+        }
+        assert!(
+            walked > 1000 && queued > 1000,
+            "walked {walked}, queued {queued}"
+        );
+    }
+
+    #[test]
+    fn seeded_reorder_takes_the_event_queue() {
+        let mut e = Engine::new(ContentionConfig::dash(), 2);
+        e.set_checked(true);
+        e.transact(0, &hops_remote(0, 1));
+        assert_eq!(e.heap_demands(), 0);
+        e.defect_reorder_fifo();
+        e.transact(0, &hops_remote(0, 1));
+        assert_eq!(e.heap_demands(), 1);
+        assert!(e
+            .take_violations()
+            .iter()
+            .any(|v| v.invariant == "txn-fifo"));
     }
 
     #[test]

@@ -951,6 +951,13 @@ impl Machine {
         self.engine.as_ref().map_or(0, Engine::events_processed)
     }
 
+    /// Demand misses the contention engine dispatched through its event
+    /// queue rather than the straight-line walk (0 in zero-contention mode,
+    /// and 0 whenever no prefetch was pending at a demand miss).
+    pub fn contention_heap_demands(&self) -> u64 {
+        self.engine.as_ref().map_or(0, Engine::heap_demands)
+    }
+
     /// Run the contention engine's event calendar dry, servicing any
     /// posted (prefetch) transactions still queued. Demand misses drain
     /// the queue themselves; call this before reading final statistics so

@@ -77,11 +77,15 @@ run cargo test -q --offline --test golden_figures
 # M/D/1 closed form (mean queueing delay, utilization, monotonicity in
 # offered load) and stay deterministic; the committed full-scale records
 # must carry the epoch-2 contention signature (monotone panel waits, the
-# contended-vs-zero A/B degradation, Distr beating Base on queueing);
-# and the engine + zero-contention-equivalence unit suites run by name so
-# a failure is unmistakable in the log.
+# contended-vs-zero A/B degradation, Distr beating Base on queueing) and
+# the deep sweep's demand misses must all take the engine's straight-line
+# walk; and the engine + zero-contention-equivalence unit suites run by name so
+# a failure is unmistakable in the log. The prefetch suite is the one
+# app-level suite whose demand misses go through the engine's event queue
+# rather than the straight-line walk.
 run cargo test -q --release --offline --test contention_laws
 run cargo test -q --release --offline --test contention_repro
+run cargo test -q --release --offline -p cool-sim --test prefetch_and_trace
 run cargo test -q --offline -p dash-sim --lib engine
 run cargo test -q --offline -p dash-sim --lib equiv
 run cargo test -q --release --offline -p dash-sim --test contention_props

@@ -114,3 +114,24 @@ fn committed_records_carry_the_contention_epoch() {
         );
     }
 }
+
+#[test]
+fn deep_sweep_demand_misses_take_the_straight_line_walk() {
+    // No app attaches prefetches, so the engine's event queue is empty at
+    // every demand miss and each one must take the straight-line walk. A
+    // stray pending transaction would silently send every later miss
+    // through the event heap: same results, several times the host cost.
+    let scale = Scale::Deep;
+    for app in ["gauss", "ocean"] {
+        let v = Version::Base;
+        let rep = apps::driver::run_app_scaled(app, scale.config(64, v), scale.app_scale(), v);
+        assert!(
+            rep.run.contention.total_wait() > 0,
+            "{app}@64 on the deep machine must be contended"
+        );
+        assert_eq!(
+            rep.run.contention_heap_demands, 0,
+            "{app}@64: demand misses went through the event heap"
+        );
+    }
+}
